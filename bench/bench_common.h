@@ -20,9 +20,11 @@
 
 namespace past {
 
-// Validates `config`, printing every problem; exits with status 2 when
-// invalid so a bad flag combination fails loudly instead of mid-run.
-inline void ValidateOrDie(const ExperimentConfig& config) {
+// Validates `config` (an ExperimentConfig or a ScaleConfig), printing every
+// problem; exits with status 2 when invalid so a bad flag combination fails
+// loudly instead of mid-run.
+template <typename Config>
+void ValidateOrDie(const Config& config) {
   std::vector<std::string> errors = config.Validate();
   if (errors.empty()) {
     return;

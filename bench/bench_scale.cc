@@ -254,6 +254,7 @@ int main(int argc, char** argv) {
         unsigned hw = std::thread::hardware_concurrency();
         config.jobs = hw > 0 ? std::min<size_t>(hw, 8) : 4;
       }
+      ValidateOrDie(config);
       RunTimings timings;
       ScaleReport report = RunOne(config, &timings, nullptr, nullptr);
       double events_per_sec = timings.epoch_seconds > 0.0
@@ -296,6 +297,7 @@ int main(int argc, char** argv) {
       config.jobs = hw > 0 ? std::min<size_t>(hw, 4) : 2;
     }
   }
+  ValidateOrDie(config);
 
   std::printf("# bench_scale (%s)\n", smoke ? "smoke" : "full");
 

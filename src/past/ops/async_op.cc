@@ -4,21 +4,6 @@
 
 namespace past {
 
-Message OpCore::Direct(MessageType type, const NodeId& from, const NodeId& to,
-                       const FileId& file, uint64_t payload_bytes, MessageCost cost) {
-  Message msg;
-  msg.type = type;
-  msg.from = from;
-  msg.to = to;
-  msg.file = file;
-  msg.payload_bytes = payload_bytes;
-  msg.hops = 1;
-  Topology& topo = net_.pastry_.topology();
-  msg.distance = (topo.Contains(from) && topo.Contains(to)) ? topo.Distance(from, to) : 0.0;
-  msg.cost = cost;
-  return msg;
-}
-
 void AsyncOp::BeginPhase(Continuation next) {
   ++epoch_;
   pending_ = 1;  // the phase bracket, released by EndPhase()

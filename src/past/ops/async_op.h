@@ -69,7 +69,6 @@ class Exchange {
 
  private:
   friend class AsyncOp;
-  friend class RepairOp;
 
   void Reset(uint64_t epoch) {
     completed_ = false;
@@ -86,29 +85,10 @@ class Exchange {
   void (AsyncOp::*handler_)(const Delivery&) = nullptr;
 };
 
-// Message building and counted sends shared by every coordinator, both the
-// event-driven client ops below and the settle-driven maintenance RepairOp.
-class OpCore {
- protected:
-  explicit OpCore(PastNetwork& net) : net_(net), transport_(net.transport()) {}
-
-  // Builds a direct (one-hop) message between two nodes, with the proximity
-  // distance looked up from the emulated topology. Endpoints that have left
-  // the topology (failed nodes) get distance 0 — the message is normally
-  // dropped or ignored anyway.
-  Message Direct(MessageType type, const NodeId& from, const NodeId& to, const FileId& file,
-                 uint64_t payload_bytes, MessageCost cost);
-
-  PastNetwork& net_;
-  Transport& transport_;
-  uint64_t messages_ = 0;    // fabric sends issued by this op
-  double latency_ms_ = 0.0;  // simulated end-to-end latency on the client path
-};
-
 // Base state machine. Derived ops implement their protocol as a chain of
 // phases; the engine (op_engine.h) creates them, owns them, counts them,
 // and drains them.
-class AsyncOp : public OpCore {
+class AsyncOp {
  public:
   // Reply handler / phase continuation types. Derived ops pass their own
   // member function pointers; the template overloads below upcast them.
@@ -130,7 +110,7 @@ class AsyncOp : public OpCore {
   void Cancel();
 
  protected:
-  explicit AsyncOp(PastNetwork& net) : OpCore(net) {}
+  explicit AsyncOp(PastNetwork& net) : net_(net), transport_(net.transport()) {}
 
   // --- phase machinery (see file comment) ---
 
@@ -169,8 +149,14 @@ class AsyncOp : public OpCore {
   // Derived cancel hook: roll back partial effects. Default: nothing.
   virtual void OnCancel() {}
 
+  PastNetwork& net_;
+  uint64_t messages_ = 0;    // fabric sends issued by this op
+  double latency_ms_ = 0.0;  // simulated end-to-end latency on the client path
+
  private:
   friend class OpEngine;
+
+  Transport& transport_;
 
   // Accepts (or rejects) one transport delivery for `ex` and dispatches its
   // handler. The single re-entry point for every tracked send.

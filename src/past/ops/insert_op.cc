@@ -34,18 +34,12 @@ void InsertOp::Start() {
   // Per-hop traffic was already accounted inside Route(); this message
   // carries the route shape so SimTransport can charge the full path
   // latency. A dropped request is the first timeout opportunity.
-  Message request;
-  request.type = MessageType::kInsertRequest;
-  request.from = origin_;
-  request.to = root_;
-  request.file = certificate_.file_id;
-  request.payload_bytes = size_;
-  request.hops = result_.route_hops;
-  request.distance = route.distance;
-  request.cost = MessageCost::kNone;
-
   BeginPhase(&InsertOp::AfterRequest);
-  SendTracked(request_ex_, request, nullptr);
+  SendTracked(request_ex_,
+              Message{.type = MessageType::kInsertRequest, .from = origin_, .to = root_,
+                      .file = certificate_.file_id, .payload_bytes = size_,
+                      .hops = result_.route_hops, .distance = route.distance},
+              nullptr);
   EndPhase();
 }
 
@@ -57,9 +51,6 @@ void InsertOp::AfterRequest() {
 
   // --- from here on, decisions are the root's (reads are root-local) ---
 
-  const FileId& file_id = certificate_.file_id;
-  size_t k = net_.config_.k;
-
   // The root verifies the file certificate — and, when the bytes travel with
   // the request, recomputes the content hash — before accepting
   // responsibility (paper section 2.2).
@@ -69,28 +60,14 @@ void InsertOp::AfterRequest() {
     return;
   }
 
-  targets_ = net_.KClosestFromLeafSet(root_, key_, k);
-  if (targets_.empty()) {
+  targets_ = net_.TargetsAtRoot(root_, key_);
+  if (targets_.targets.empty()) {
     Finish(InsertStatus::kNoSpace);
     return;
   }
-
-  // fileId collision: a file with this id already exists — reject the later
-  // insert (paper section 2).
-  for (const NodeId& t : targets_) {
-    const PastNode* pn = net_.storage_node(t);
-    if (pn != nullptr &&
-        (pn->store().HasReplica(file_id) || pn->store().GetPointer(file_id) != nullptr)) {
-      Finish(InsertStatus::kDuplicateFileId);
-      return;
-    }
-  }
-
-  // The witness node C: the (k+1)-th closest, which shadows diversion
-  // pointers so that the diverting node A is not a single point of failure.
-  std::vector<NodeId> k_plus_one = net_.KClosestFromLeafSet(root_, key_, k + 1);
-  if (k_plus_one.size() == k + 1) {
-    witness_ = k_plus_one.back();
+  if (net_.FileExistsAt(targets_.targets, certificate_.file_id)) {
+    Finish(InsertStatus::kDuplicateFileId);
+    return;
   }
 
   cert_ref_ = std::make_shared<const FileCertificate>(certificate_);
@@ -104,8 +81,8 @@ void InsertOp::AckRoot(const NodeId& from_node, bool ok) {
   // epoch-filtered before it could read a newer value.
   ack_ok_ = ok;
   SendTracked(root_ack_ex_,
-              Direct(MessageType::kAck, from_node, root_, certificate_.file_id, 0,
-                     MessageCost::kNone),
+              net_.Direct(MessageType::kAck, from_node, root_, certificate_.file_id, 0,
+                          MessageCost::kNone),
               &InsertOp::OnRootAck);
 }
 
@@ -114,11 +91,11 @@ void InsertOp::OnRootAck(const Delivery&) {
 }
 
 void InsertOp::StoreNext() {
-  while (target_index_ < targets_.size() &&
-         net_.storage_node(targets_[target_index_]) == nullptr) {
+  const std::vector<NodeId>& targets = targets_.targets;
+  while (target_index_ < targets.size() && net_.storage_node(targets[target_index_]) == nullptr) {
     ++target_index_;
   }
-  if (target_index_ == targets_.size()) {
+  if (target_index_ == targets.size()) {
     net_.any_file_inserted_ = true;
     net_.CacheAlongPath(route_path_, certificate_.file_id, size_, content_);
     Finish(InsertStatus::kStored);
@@ -128,55 +105,49 @@ void InsertOp::StoreNext() {
   // One store exchange per target, driven to completion before the next
   // (the settle-era code was sequential too). All per-exchange state lives
   // in the op, keyed to this phase; AfterStore() inspects it.
-  const NodeId t = targets_[target_index_];
+  const NodeId t = targets[target_index_];
   outcome_ = Outcome::kPending;
   divert_target_.reset();
 
   BeginPhase(&InsertOp::AfterStore);
   // kStoreReplica carries the file bytes — the same data message the
   // pre-fabric code charged with RecordMessage(size).
-  SendTracked(
-      store_ex_,
-      Direct(MessageType::kStoreReplica, root_, t, certificate_.file_id, size_, MessageCost::kMessage),
-      &InsertOp::OnStoreReplica);
+  SendTracked(store_ex_,
+              net_.Direct(MessageType::kStoreReplica, root_, t, certificate_.file_id, size_,
+                          MessageCost::kMessage),
+              &InsertOp::OnStoreAtTarget);
   EndPhase();
 }
 
-void InsertOp::OnStoreReplica(const Delivery&) {
-  const NodeId t = targets_[target_index_];
+void InsertOp::OnStoreAtTarget(const Delivery&) {
+  const NodeId t = targets_.targets[target_index_];
   PastNode* pn = net_.storage_node(t);
   if (pn == nullptr) {
     AckRoot(t, false);
     return;
   }
-  if (net_.ShouldStorePrimary(t, size_) &&
-      pn->StoreReplica(certificate_.file_id, ReplicaKind::kPrimary, size_, cert_ref_, content_)) {
-    // Write-ahead contract: the insert record must be durable before the
-    // store receipt or the ack leaves this node. A node whose log cannot
-    // commit declines the store instead.
-    if (!pn->store().Commit()) {
-      pn->RemoveReplica(certificate_.file_id);
-      AckRoot(t, false);
-      return;
-    }
+  PastNetwork::AddResult added = PastNetwork::AddResult::kNoRoom;
+  if (net_.ShouldStorePrimary(t, size_)) {
+    added = net_.AddReplica(*pn, certificate_.file_id, ReplicaKind::kPrimary, size_, cert_ref_,
+                            content_);
+  }
+  if (added == PastNetwork::AddResult::kAdded) {
     created_.push_back({t, /*is_pointer=*/false});
     pn->NoteServedOp();
-    net_.total_stored_ += size_;
-    net_.ins_.replicas_stored->Add(1);
     ++result_.replicas_stored;
     result_.receipts.push_back(pn->MakeStoreReceipt(certificate_.file_id));
     AckRoot(t, true);
     return;
   }
-
-  if (net_.config_.enable_replica_diversion) {
-    divert_target_ = net_.ChooseDiversionTarget(t, targets_, certificate_.file_id, size_);
+  if (added == PastNetwork::AddResult::kNoRoom && net_.config_.enable_replica_diversion) {
+    divert_target_ =
+        net_.ChooseDiversionTarget(t, targets_.targets, certificate_.file_id, size_);
     if (divert_target_) {
       // A asks leaf-set member B to hold the replica (an RPC in the
       // legacy accounting, paper section 3.3).
       SendTracked(divert_ex_,
-                  Direct(MessageType::kDivertRequest, t, *divert_target_, certificate_.file_id,
-                         size_, MessageCost::kRpc),
+                  net_.Direct(MessageType::kDivertRequest, t, *divert_target_,
+                              certificate_.file_id, size_, MessageCost::kRpc),
                   &InsertOp::OnDivertReply);
       return;  // the ack to the root comes from the diversion chain
     }
@@ -185,56 +156,43 @@ void InsertOp::OnStoreReplica(const Delivery&) {
 }
 
 void InsertOp::OnDivertReply(const Delivery&) {
-  const NodeId t = targets_[target_index_];
+  const NodeId t = targets_.targets[target_index_];
   PastNode* b = net_.storage_node(*divert_target_);
   stored_at_b_ = b != nullptr && b->WouldAcceptDiverted(size_) &&
-                 b->StoreReplica(certificate_.file_id, ReplicaKind::kDiverted, size_, cert_ref_,
-                                 content_);
-  if (stored_at_b_ && !b->store().Commit()) {
-    // B's log could not make the diverted replica durable: undo and report
-    // the diversion as declined.
-    b->RemoveReplica(certificate_.file_id);
-    stored_at_b_ = false;
-  }
+                 net_.AddReplica(*b, certificate_.file_id, ReplicaKind::kDiverted, size_,
+                                 cert_ref_, content_) == PastNetwork::AddResult::kAdded;
   if (stored_at_b_) {
     created_.push_back({*divert_target_, /*is_pointer=*/false});
     b->NoteServedOp();
-    net_.total_stored_ += size_;
-    net_.ins_.replicas_stored->Add(1);
-    net_.ins_.replicas_diverted->Add(1);
     ++result_.replicas_stored;
     ++result_.replicas_diverted;
   }
   // B's answer travels back to A, which completes the exchange: pointer +
   // witness + receipt on success.
   SendTracked(divert_ack_ex_,
-              Direct(MessageType::kAck, *divert_target_, t, certificate_.file_id, 0,
-                     MessageCost::kNone),
+              net_.Direct(MessageType::kAck, *divert_target_, t, certificate_.file_id, 0,
+                          MessageCost::kNone),
               &InsertOp::OnDivertAck);
 }
 
 void InsertOp::OnDivertAck(const Delivery&) {
-  const NodeId t = targets_[target_index_];
+  const NodeId t = targets_.targets[target_index_];
   PastNode* a = net_.storage_node(t);
-  if (!stored_at_b_ || a == nullptr) {
-    AckRoot(t, false);
-    return;
-  }
-  // Node A keeps a pointer to B and issues the store receipt as usual;
-  // node C shadows the pointer.
-  a->store().InstallPointer(certificate_.file_id, *divert_target_, PointerRole::kDiverter, size_);
-  if (!a->store().Commit()) {
-    // The pointer at A must be durable before A issues the receipt: after a
-    // crash at A nothing else among the k closest would reference B's copy.
-    a->store().RemovePointer(certificate_.file_id);
+  // Node A keeps a pointer to B and issues the store receipt as usual; the
+  // pointer must be durable first, since after a crash at A nothing else
+  // among the k closest would reference B's copy. Node C shadows it.
+  if (!stored_at_b_ || a == nullptr ||
+      !net_.AddPointer(*a, certificate_.file_id, *divert_target_, PointerRole::kDiverter,
+                       size_)) {
     AckRoot(t, false);
     return;
   }
   created_.push_back({t, /*is_pointer=*/true});
-  if (witness_ && net_.storage_node(*witness_) != nullptr) {
+  const std::optional<NodeId>& witness = targets_.witness;
+  if (witness && net_.storage_node(*witness) != nullptr) {
     SendTracked(witness_ex_,
-                Direct(MessageType::kInstallPointer, t, *witness_, certificate_.file_id, 0,
-                       MessageCost::kRpc),
+                net_.Direct(MessageType::kInstallPointer, t, *witness, certificate_.file_id, 0,
+                            MessageCost::kRpc),
                 &InsertOp::OnWitnessInstall);
   }
   result_.receipts.push_back(a->MakeStoreReceipt(certificate_.file_id));
@@ -242,14 +200,11 @@ void InsertOp::OnDivertAck(const Delivery&) {
 }
 
 void InsertOp::OnWitnessInstall(const Delivery&) {
-  PastNode* c = net_.storage_node(*witness_);
-  if (c != nullptr) {
-    c->store().InstallPointer(certificate_.file_id, *divert_target_, PointerRole::kWitness, size_);
-    if (c->store().Commit()) {
-      created_.push_back({*witness_, /*is_pointer=*/true});
-    } else {
-      c->store().RemovePointer(certificate_.file_id);
-    }
+  const NodeId c = *targets_.witness;
+  PastNode* pn = net_.storage_node(c);
+  if (pn != nullptr &&
+      net_.AddPointer(*pn, certificate_.file_id, *divert_target_, PointerRole::kWitness, size_)) {
+    created_.push_back({c, /*is_pointer=*/true});
   }
 }
 

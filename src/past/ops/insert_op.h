@@ -49,7 +49,7 @@ class InsertOp : public AsyncOp {
 
  private:
   void AfterRequest();
-  void StoreNext();   // issues the store exchange for targets_[target_index_]
+  void StoreNext();   // issues the store exchange for target number target_index_
   void AfterStore();  // inspects the exchange outcome, advances or rolls back
   void AckRoot(const NodeId& from_node, bool ok);
   void Finish(InsertStatus status);
@@ -58,7 +58,7 @@ class InsertOp : public AsyncOp {
   // Reply handlers of the store phase. Per-exchange context a handler needs
   // (the current target, the pending ack verdict, the diversion outcome)
   // lives in the members below — the async_op.h zero-capture contract.
-  void OnStoreReplica(const Delivery&);    // at the target A
+  void OnStoreAtTarget(const Delivery&);   // at the target A
   void OnDivertReply(const Delivery&);     // at the diversion target B
   void OnDivertAck(const Delivery&);       // B's answer, back at A
   void OnWitnessInstall(const Delivery&);  // at the witness C
@@ -75,8 +75,7 @@ class InsertOp : public AsyncOp {
   NodeId key_;
   NodeId root_;
   std::vector<NodeId> route_path_;  // for CacheAlongPath on success
-  std::vector<NodeId> targets_;     // the k closest, in exchange order
-  std::optional<NodeId> witness_;
+  PastNetwork::RootTargets targets_;  // the k closest in exchange order + witness
   FileCertificateRef cert_ref_;
   std::vector<PastNetwork::PendingStore> created_;
   size_t target_index_ = 0;

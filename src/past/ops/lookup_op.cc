@@ -44,7 +44,7 @@ void LookupOp::StartCoopProbe() {
   net_.ins_.coop_probes->Inc();
   probe_start_ms_ = latency_ms_;
 
-  Message probe = Direct(MessageType::kCacheProbe, origin_, broker_, file_id_,
+  Message probe = net_.Direct(MessageType::kCacheProbe, origin_, broker_, file_id_,
                          /*payload_bytes=*/0, MessageCost::kRpc);
   BeginPhase(&LookupOp::AfterCoopProbe);
   SendTracked(probe_ex_, probe, &LookupOp::OnCacheProbe);
@@ -54,7 +54,7 @@ void LookupOp::StartCoopProbe() {
 void LookupOp::OnCacheProbe(const Delivery&) {
   // At the broker: its own cached copy wins, else its directory shard.
   coop_holder_ = net_.coop_tier()->ResolveProbe(broker_, file_id_);
-  Message reply = Direct(MessageType::kCacheReply, broker_, origin_, file_id_,
+  Message reply = net_.Direct(MessageType::kCacheReply, broker_, origin_, file_id_,
                          /*payload_bytes=*/0, MessageCost::kNone);
   SendTracked(probe_reply_ex_, reply, nullptr);
 }
@@ -128,38 +128,18 @@ void LookupOp::StartRoute() {
     // The route ended at the numerically closest node without finding a
     // replica en route; a diverted replica is reachable through its pointer
     // at the cost of one extra hop (paper section 3.3).
-    NodeId dest = route.destination();
-    PastNode* pn = net_.storage_node(dest);
-    const DiversionPointer* ptr = pn == nullptr ? nullptr : pn->store().GetPointer(file_id_);
-    if (ptr != nullptr && net_.pastry_.IsAlive(ptr->holder)) {
-      PastNode* holder = net_.storage_node(ptr->holder);
-      if (holder != nullptr && holder->store().HasReplica(file_id_)) {
-        served_ = ptr->holder;
-        from_cache_ = false;
-        found = true;
+    std::optional<PastNetwork::Located> located =
+        net_.LocateFromRoot(route.destination(), file_id_);
+    if (located) {
+      served_ = located->holder;
+      found = true;
+      if (located->via_pointer) {
         result_.via_diversion_pointer = true;
         net_.ins_.lookup_pointer_hops->Inc();
-        double d = net_.pastry_.topology().Distance(dest, ptr->holder);
-        net_.pastry_.stats().RecordHop(d);
-        result_.hops += 1;
-        result_.distance += d;
       }
-    }
-    if (!found) {
-      // Rare: routing terminated at a node that is not tracking the file
-      // (e.g. stale leaf set right after churn). Probe the k closest.
-      for (const NodeId& t : net_.KClosestFromLeafSet(dest, key, net_.config_.k)) {
-        PastNode* candidate = net_.storage_node(t);
-        if (candidate != nullptr && candidate->store().HasReplica(file_id_)) {
-          served_ = t;
-          found = true;
-          double d = net_.pastry_.topology().Distance(dest, t);
-          net_.pastry_.stats().RecordHop(d);
-          result_.hops += 1;
-          result_.distance += d;
-          break;
-        }
-      }
+      net_.pastry_.stats().RecordHop(located->distance);
+      result_.hops += 1;
+      result_.distance += located->distance;
     }
   }
 
@@ -178,18 +158,11 @@ void LookupOp::StartFetch() {
   // path cost having been charged on the request leg. Request + reply
   // together reproduce the classic fetch-latency formula
   // FetchLatencyMs(hops, distance, size).
-  Message request;
-  request.type = MessageType::kLookupRequest;
-  request.from = origin_;
-  request.to = served_;
-  request.file = file_id_;
-  request.payload_bytes = 0;
-  request.hops = result_.hops;
-  request.distance = result_.distance;
-  request.cost = MessageCost::kNone;
-
   BeginPhase(&LookupOp::AfterFetch);
-  SendTracked(request_ex_, request, &LookupOp::OnFetchRequest);
+  SendTracked(request_ex_,
+              Message{.type = MessageType::kLookupRequest, .from = origin_, .to = served_,
+                      .file = file_id_, .hops = result_.hops, .distance = result_.distance},
+              &LookupOp::OnFetchRequest);
   EndPhase();
 }
 
@@ -221,16 +194,11 @@ void LookupOp::OnFetchRequest(const Delivery&) {
     result_.file_size = entry == nullptr ? 0 : entry->size;
     result_.content = entry == nullptr ? nullptr : server->store().GetContent(file_id_);
   }
-  Message reply;
-  reply.type = MessageType::kFetchReply;
-  reply.from = served_;
-  reply.to = origin_;
-  reply.file = file_id_;
-  reply.payload_bytes = result_.file_size;
-  reply.hops = 0;  // path cost charged on the request leg
-  reply.distance = 0.0;
-  reply.cost = MessageCost::kNone;
-  SendTracked(reply_ex_, reply, nullptr);
+  // hops = 0: the path cost was charged on the request leg.
+  SendTracked(reply_ex_,
+              Message{.type = MessageType::kFetchReply, .from = served_, .to = origin_,
+                      .file = file_id_, .payload_bytes = result_.file_size, .hops = 0},
+              nullptr);
 }
 
 void LookupOp::AfterFetch() {

@@ -26,18 +26,12 @@ void ReclaimOp::Start() {
 
   // The reclaim certificate rides the route to the root. If it is lost the
   // operation observes nothing stored — the owner retries.
-  Message request;
-  request.type = MessageType::kReclaimRequest;
-  request.from = origin_;
-  request.to = root_;
-  request.file = certificate_.file_id;
-  request.payload_bytes = 0;
-  request.hops = route.hops();
-  request.distance = route.distance;
-  request.cost = MessageCost::kNone;
-
   BeginPhase(&ReclaimOp::AfterRequest);
-  SendTracked(request_ex_, request, nullptr);
+  SendTracked(request_ex_,
+              Message{.type = MessageType::kReclaimRequest, .from = origin_, .to = root_,
+                      .file = certificate_.file_id, .hops = route.hops(),
+                      .distance = route.distance},
+              nullptr);
   EndPhase();
 }
 
@@ -46,8 +40,13 @@ void ReclaimOp::AfterRequest() {
     Finish(ReclaimStatus::kNotFound);
     return;
   }
-  NodeId key = certificate_.file_id.ToRoutingKey();
-  targets_ = net_.KClosestFromLeafSet(root_, key, net_.config_.k + 1);
+  // The k closest and the witness: the witness's shadow pointer must go too.
+  PastNetwork::RootTargets at_root =
+      net_.TargetsAtRoot(root_, certificate_.file_id.ToRoutingKey());
+  targets_ = std::move(at_root.targets);
+  if (at_root.witness) {
+    targets_.push_back(*at_root.witness);
+  }
   target_index_ = 0;
   TargetNext();
 }
@@ -74,13 +73,7 @@ void ReclaimOp::ReclaimAt(const NodeId& node_id) {
       return;
     }
     uint64_t size = entry->size;
-    bool diverted = entry->kind == ReplicaKind::kDiverted;
-    pn->RemoveReplica(file_id);
-    net_.total_stored_ -= size;
-    net_.ins_.replicas_stored->Sub(1);
-    if (diverted) {
-      net_.ins_.replicas_diverted->Sub(1);
-    }
+    net_.DropReplica(*pn, file_id);
     ++result_.replicas_reclaimed;
     result_.bytes_reclaimed += size;
     // The reclaim receipt credits the owner's quota, so the removal record
@@ -112,8 +105,8 @@ void ReclaimOp::TargetNext() {
 
   BeginPhase(&ReclaimOp::TargetNext);
   SendTracked(target_ex_,
-              Direct(MessageType::kReclaimRequest, root_, current_target_, certificate_.file_id,
-                     0, MessageCost::kNone),
+              net_.Direct(MessageType::kReclaimRequest, root_, current_target_,
+                          certificate_.file_id, 0, MessageCost::kNone),
               &ReclaimOp::OnTargetReply);
   EndPhase();
 }
@@ -134,8 +127,8 @@ void ReclaimOp::OnTargetReply(const Delivery&) {
     if (net_.pastry_.IsAlive(ptr->holder)) {
       pointer_holder_ = ptr->holder;
       SendTracked(holder_ex_,
-                  Direct(MessageType::kReclaimRequest, t, pointer_holder_, certificate_.file_id,
-                         0, MessageCost::kNone),
+                  net_.Direct(MessageType::kReclaimRequest, t, pointer_holder_,
+                              certificate_.file_id, 0, MessageCost::kNone),
                   &ReclaimOp::OnHolderReply);
     }
     pn->store().RemovePointer(certificate_.file_id);
@@ -145,7 +138,8 @@ void ReclaimOp::OnTargetReply(const Delivery&) {
   // root (ReclaimAt already committed its own removal with the receipt).
   pn->store().Commit();
   SendTracked(ack_ex_,
-              Direct(MessageType::kAck, t, root_, certificate_.file_id, 0, MessageCost::kNone),
+              net_.Direct(MessageType::kAck, t, root_, certificate_.file_id, 0,
+                          MessageCost::kNone),
               nullptr);
 }
 

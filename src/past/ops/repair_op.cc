@@ -1,36 +1,56 @@
-#include "src/past/ops/repair_op.h"
-
+// Replica maintenance (paper section 3.5): PastNetwork::RestoreInvariants
+// and PastNetwork::RepairFile.
+//
+// Discovery (which nodes still hold replicas, which pointers are stale) is
+// scan-based — the keep-alive exchange already carries that information for
+// free in the paper's design. State-changing steps go over the fabric:
+// replica re-creation is a kRepairStore pushed from a surviving holder,
+// replacement diversion pointers are installed by a kRepairPointer from the
+// root. At the receiving node they are the same placement-kernel steps an
+// insert takes (AddReplica, AddPointer), under the repair admission test
+// WouldAcceptPrimary. A lost repair message leaves the invariant unrestored
+// for this round; the next membership event or sweep retries.
+//
+// Unlike the client ops (async_op.h), repair stays settle-driven: each
+// exchange is sent, the transport is settled, and the outcome inspected
+// before the next step. Repair runs inside membership callbacks and must
+// finish there, at the virtual time its trigger fired, so it interleaves
+// with in-flight client ops as one unit — the timing the simulation golden
+// banks pin.
 #include <algorithm>
 #include <optional>
 #include <unordered_set>
 #include <utility>
 
-namespace past {
+#include "src/past/past_network.h"
 
-void RepairOp::SendSettled(Exchange& ex, const Message& msg,
-                           const std::function<void(const Delivery&)>& handler) {
-  ex.Reset(0);
-  ++messages_;
-  // The exchange lives in the caller's frame; Settle() returns only after
-  // every copy of `msg` was delivered or dropped, so the capture by
-  // reference is safe — the same contract the stack-frame booleans of the
-  // settle-era coordinators relied on, now carried by the Exchange type.
-  transport_.Send(msg, [&ex, &handler](const Delivery& d) {
-    if (ex.completed_) {
-      return;  // duplicate delivery
+namespace past {
+namespace {
+
+// One settle-driven exchange: sends `msg`, runs `at_destination` once if a
+// copy arrives (duplicates are absorbed), and drains the transport before
+// returning whether it did. Settle() returns only after every copy of `msg`
+// was delivered or dropped, so the flag never outlives this frame.
+template <typename Fn>
+bool SendSettled(Transport& transport, const Message& msg, Fn&& at_destination) {
+  bool delivered = false;
+  transport.Send(msg, [&delivered, &at_destination](const Delivery&) {
+    if (delivered) {
+      return;
     }
-    ex.completed_ = true;
-    if (handler) {
-      handler(d);
-    }
+    delivered = true;
+    at_destination();
   });
-  transport_.Settle();
+  transport.Settle();
+  return delivered;
 }
 
-void RepairOp::RestoreInvariants(const std::vector<NodeId>& region) {
+}  // namespace
+
+void PastNetwork::RestoreInvariants(const std::vector<NodeId>& region) {
   std::unordered_set<FileId, FileIdHash> files;
   for (const NodeId& id : region) {
-    const PastNode* pn = net_.storage_node(id);
+    const PastNode* pn = storage_node(id);
     if (pn == nullptr) {
       continue;
     }
@@ -48,24 +68,24 @@ void RepairOp::RestoreInvariants(const std::vector<NodeId>& region) {
   }
 }
 
-void RepairOp::RepairFile(const FileId& file_id) {
+void PastNetwork::RepairFile(const FileId& file_id) {
   NodeId key = file_id.ToRoutingKey();
-  NodeId root = net_.pastry_.ClosestLive(key);
-  const PastryNode* root_node = net_.pastry_.node(root);
+  NodeId root = pastry_.ClosestLive(key);
+  const PastryNode* root_node = pastry_.node(root);
   if (root_node == nullptr) {
     return;
   }
-  std::vector<NodeId> k_closest = net_.KClosestFromLeafSet(root, key, net_.config_.k);
+  std::vector<NodeId> k_closest = KClosestFromLeafSet(root, key, config_.k);
 
   // Discover live replica holders in the neighborhood: the k closest, the
   // root's wider leaf set (nodes that recently ceased to be among the k
   // closest may still hold replicas), and pointer targets.
   std::vector<NodeId> holders;
   auto add_holder = [&](const NodeId& n) {
-    if (!net_.pastry_.IsAlive(n)) {
+    if (!pastry_.IsAlive(n)) {
       return;
     }
-    const PastNode* pn = net_.storage_node(n);
+    const PastNode* pn = storage_node(n);
     if (pn != nullptr && pn->store().HasReplica(file_id) &&
         std::find(holders.begin(), holders.end(), n) == holders.end()) {
       holders.push_back(n);
@@ -78,7 +98,7 @@ void RepairOp::RepairFile(const FileId& file_id) {
     add_holder(n);
   }
   for (const NodeId& n : k_closest) {
-    const PastNode* pn = net_.storage_node(n);
+    const PastNode* pn = storage_node(n);
     if (pn != nullptr) {
       const DiversionPointer* ptr = pn->store().GetPointer(file_id);
       if (ptr != nullptr) {
@@ -90,14 +110,14 @@ void RepairOp::RepairFile(const FileId& file_id) {
   if (holders.empty()) {
     // All k replicas (and any diverted copies) vanished inside one recovery
     // period — the file is lost. Drop dangling pointers.
-    net_.ins_.files_lost->Inc();
+    ins_.files_lost->Inc();
     obs::OpTrace lost;
     lost.kind = obs::TraceOpKind::kMaintenance;
     lost.file_id = file_id.ToHex();
     lost.status = "file_lost";
-    net_.EmitTrace(std::move(lost));
+    EmitTrace(std::move(lost));
     for (const NodeId& n : k_closest) {
-      PastNode* pn = net_.storage_node(n);
+      PastNode* pn = storage_node(n);
       if (pn != nullptr) {
         pn->store().RemovePointer(file_id);
       }
@@ -105,83 +125,60 @@ void RepairOp::RepairFile(const FileId& file_id) {
     return;
   }
 
-  const NodeStore& sample_store = net_.storage_node(holders.front())->store();
-  const ReplicaEntry* sample = sample_store.GetReplica(file_id);
-  uint64_t size = sample->size;
+  const NodeStore& sample_store = storage_node(holders.front())->store();
+  const uint64_t size = sample_store.GetReplica(file_id)->size;
   FileCertificateRef certificate = sample_store.GetCertificate(file_id);
   FileContentRef content = sample_store.GetContent(file_id);
   // The holder that pushes replica data to repair targets.
-  NodeId source = holders.front();
+  const NodeId source = holders.front();
 
-  // Pushes the replica from `source` to `t` as a primary copy; returns true
-  // if `t` accepted and stored it (false on decline or a dropped message).
-  auto push_replica = [&](const NodeId& t) {
+  // Pushes the replica from `source` to `t`; true if `t` admitted and
+  // stored it (false on decline or a dropped message). A primary copy must
+  // pass WouldAcceptPrimary, a diverted one WouldAcceptDiverted.
+  auto push_replica = [&](const NodeId& t, ReplicaKind kind) {
     bool stored = false;
-    Exchange push_ex;
-    SendSettled(push_ex,
+    SendSettled(*transport_,
                 Direct(MessageType::kRepairStore, source, t, file_id, size, MessageCost::kNone),
-                [&, t](const Delivery&) {
-                  PastNode* pn = net_.storage_node(t);
-                  if (pn != nullptr && pn->WouldAcceptPrimary(size) &&
-                      pn->StoreReplica(file_id, ReplicaKind::kPrimary, size, certificate,
-                                       content)) {
-                    if (!pn->store().Commit()) {
-                      pn->RemoveReplica(file_id);  // un-committable: decline
-                      return;
-                    }
-                    net_.total_stored_ += size;
-                    net_.ins_.replicas_stored->Add(1);
-                    net_.ins_.replicas_recreated->Inc();
-                    stored = true;
+                [&] {
+                  PastNode* pn = storage_node(t);
+                  bool admitted = pn != nullptr && (kind == ReplicaKind::kPrimary
+                                                        ? pn->WouldAcceptPrimary(size)
+                                                        : pn->WouldAcceptDiverted(size));
+                  stored = admitted && AddReplica(*pn, file_id, kind, size, certificate,
+                                                  content) == AddResult::kAdded;
+                  if (stored) {
+                    ins_.replicas_recreated->Inc();
                   }
                 });
     return stored;
   };
 
-  // Instructs `t` to install a diversion pointer at `target`.
-  auto install_pointer = [&](const NodeId& t, const NodeId& target, bool count_metric) {
-    Exchange ptr_ex;
-    SendSettled(ptr_ex,
+  // Instructs `t` to install a diversion pointer at `target`; true if it
+  // was installed.
+  auto install_pointer = [&](const NodeId& t, const NodeId& target) {
+    bool installed = false;
+    SendSettled(*transport_,
                 Direct(MessageType::kRepairPointer, root, t, file_id, 0, MessageCost::kNone),
-                [&, t, target, count_metric](const Delivery&) {
-                  PastNode* pn = net_.storage_node(t);
-                  if (pn != nullptr) {
-                    pn->store().InstallPointer(file_id, target, PointerRole::kDiverter, size);
-                    if (!pn->store().Commit()) {
-                      pn->store().RemovePointer(file_id);
-                      return;
-                    }
-                    if (count_metric) {
-                      net_.ins_.maintenance_pointers->Inc();
-                    }
-                  }
+                [&] {
+                  PastNode* pn = storage_node(t);
+                  installed = pn != nullptr &&
+                              AddPointer(*pn, file_id, target, PointerRole::kDiverter, size);
                 });
+    return installed;
   };
 
   // Pass 1: every one of the k closest must hold the replica or a valid
   // pointer to a live holder.
   for (const NodeId& t : k_closest) {
-    PastNode* pn = net_.storage_node(t);
-    if (pn == nullptr) {
+    PastNode* pn = storage_node(t);
+    if (pn == nullptr || pn->store().HasReplica(file_id) || LivePointer(pn, file_id) != nullptr) {
       continue;
     }
-    if (pn->store().HasReplica(file_id)) {
-      continue;
-    }
-    const DiversionPointer* ptr = pn->store().GetPointer(file_id);
-    if (ptr != nullptr) {
-      bool valid = net_.pastry_.IsAlive(ptr->holder) &&
-                   net_.storage_node(ptr->holder) != nullptr &&
-                   net_.storage_node(ptr->holder)->store().HasReplica(file_id);
-      if (valid) {
-        continue;
-      }
-      pn->store().RemovePointer(file_id);
-    }
+    pn->store().RemovePointer(file_id);  // stale: its holder is gone
     // Prefer acquiring a real replica; otherwise install a pointer to an
     // existing holder (semantically identical to replica diversion, paper
     // section 3.5: the joining node installs a pointer and migrates later).
-    if (push_replica(t)) {
+    if (push_replica(t, ReplicaKind::kPrimary)) {
       if (std::find(holders.begin(), holders.end(), t) == holders.end()) {
         holders.push_back(t);
       }
@@ -196,25 +193,27 @@ void RepairOp::RepairFile(const FileId& file_id) {
         break;
       }
     }
-    install_pointer(t, target, /*count_metric=*/true);
+    if (install_pointer(t, target)) {
+      ins_.maintenance_pointers->Inc();
+    }
   }
 
   // Pass 2: restore the replication level to k when space allows. First try
   // k-closest members without a replica, then diversion into their leaf sets.
   uint32_t live = static_cast<uint32_t>(holders.size());
-  if (live >= net_.config_.k) {
+  if (live >= config_.k) {
     return;
   }
   for (const NodeId& t : k_closest) {
-    if (live >= net_.config_.k) {
+    if (live >= config_.k) {
       break;
     }
-    PastNode* pn = net_.storage_node(t);
+    PastNode* pn = storage_node(t);
     if (pn == nullptr || pn->store().HasReplica(file_id)) {
       continue;
     }
-    if (push_replica(t)) {
-      PastNode* stored_node = net_.storage_node(t);
+    if (push_replica(t, ReplicaKind::kPrimary)) {
+      PastNode* stored_node = storage_node(t);
       if (stored_node != nullptr) {
         stored_node->store().RemovePointer(file_id);
       }
@@ -223,44 +222,20 @@ void RepairOp::RepairFile(const FileId& file_id) {
     }
   }
   for (const NodeId& t : k_closest) {
-    if (live >= net_.config_.k) {
+    if (live >= config_.k) {
       break;
     }
-    PastNode* pn = net_.storage_node(t);
+    PastNode* pn = storage_node(t);
     if (pn == nullptr || pn->store().HasReplica(file_id)) {
       continue;
     }
-    std::optional<NodeId> target = net_.ChooseDiversionTarget(t, k_closest, file_id, size);
-    if (!target) {
-      continue;
-    }
+    std::optional<NodeId> target = ChooseDiversionTarget(t, k_closest, file_id, size);
     // Diverted re-creation: push the data to the leaf-set member, then have
     // the k-closest node point at it.
-    bool stored_at_b = false;
-    Exchange divert_ex;
-    SendSettled(divert_ex,
-                Direct(MessageType::kRepairStore, source, *target, file_id, size,
-                       MessageCost::kNone),
-                [&](const Delivery&) {
-                  PastNode* b = net_.storage_node(*target);
-                  if (b != nullptr && b->WouldAcceptDiverted(size) &&
-                      b->StoreReplica(file_id, ReplicaKind::kDiverted, size, certificate,
-                                      content)) {
-                    if (!b->store().Commit()) {
-                      b->RemoveReplica(file_id);
-                      return;
-                    }
-                    net_.total_stored_ += size;
-                    net_.ins_.replicas_stored->Add(1);
-                    net_.ins_.replicas_diverted->Add(1);
-                    net_.ins_.replicas_recreated->Inc();
-                    stored_at_b = true;
-                  }
-                });
-    if (!stored_at_b) {
+    if (!target || !push_replica(*target, ReplicaKind::kDiverted)) {
       continue;
     }
-    install_pointer(t, *target, /*count_metric=*/false);
+    install_pointer(t, *target);
     ++live;
     holders.push_back(*target);
   }

@@ -11,7 +11,6 @@
 #include "src/past/ops/lookup_op.h"
 #include "src/past/ops/op_engine.h"
 #include "src/past/ops/reclaim_op.h"
-#include "src/past/ops/repair_op.h"
 
 namespace past {
 namespace {
@@ -269,23 +268,11 @@ PastNetwork::RejoinOutcome PastNetwork::RejoinStorageNode(const NodeId& id,
   for (const auto& [file, entry] : pn->store().replicas()) {
     (void)entry;
     std::vector<NodeId> k_closest = pastry_.KClosestLive(file.ToRoutingKey(), config_.k);
-    bool referenced = false;
-    for (const NodeId& t : k_closest) {
+    bool held = std::any_of(k_closest.begin(), k_closest.end(), [&](const NodeId& t) {
       const PastNode* tn = storage_node(t);
-      if (tn == nullptr) {
-        continue;
-      }
-      if (tn->store().HasReplica(file)) {
-        referenced = true;
-        break;
-      }
-      const DiversionPointer* ptr = tn->store().GetPointer(file);
-      if (ptr != nullptr && ptr->holder == id) {
-        referenced = true;
-        break;
-      }
-    }
-    if (!referenced) {
+      return tn != nullptr && tn->store().HasReplica(file);
+    });
+    if (!held && !PointsAt(k_closest, file, id)) {
       drop_replicas.push_back(file);
     }
   }
@@ -293,8 +280,8 @@ PastNetwork::RejoinOutcome PastNetwork::RejoinStorageNode(const NodeId& id,
   // the replica (the witness/diverter roles are rebuilt by repair anyway).
   std::vector<FileId> drop_pointers;
   for (const auto& [file, ptr] : pn->store().pointers()) {
-    const PastNode* holder = storage_node(ptr.holder);
-    if (!pastry_.IsAlive(ptr.holder) || holder == nullptr || !holder->store().HasReplica(file)) {
+    (void)ptr;
+    if (LivePointer(pn, file) == nullptr) {
       drop_pointers.push_back(file);
     }
   }
@@ -464,6 +451,113 @@ std::optional<NodeId> PastNetwork::ChooseDiversionTarget(const NodeId& primary,
   return eligible[*pick].id;
 }
 
+PastNetwork::RootTargets PastNetwork::TargetsAtRoot(const NodeId& root,
+                                                   const NodeId& key) const {
+  RootTargets out;
+  out.targets = KClosestFromLeafSet(root, key, config_.k + 1);
+  if (out.targets.size() == config_.k + 1) {
+    out.witness = out.targets.back();
+    out.targets.pop_back();
+  }
+  return out;
+}
+
+bool PastNetwork::FileExistsAt(const std::vector<NodeId>& targets, const FileId& file) const {
+  for (const NodeId& t : targets) {
+    const PastNode* pn = storage_node(t);
+    if (pn != nullptr &&
+        (pn->store().HasReplica(file) || pn->store().GetPointer(file) != nullptr)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+PastNetwork::AddResult PastNetwork::AddReplica(PastNode& node, const FileId& file,
+                                               ReplicaKind kind, uint64_t size,
+                                               FileCertificateRef certificate,
+                                               FileContentRef content) {
+  if (!node.StoreReplica(file, kind, size, std::move(certificate), std::move(content))) {
+    return AddResult::kNoRoom;
+  }
+  // Write-ahead contract: the record must be durable before a receipt or an
+  // ack leaves the node. A node whose log cannot commit declines instead.
+  if (!node.store().Commit()) {
+    node.RemoveReplica(file);
+    return AddResult::kNotDurable;
+  }
+  total_stored_ += size;
+  ins_.replicas_stored->Add(1);
+  if (kind == ReplicaKind::kDiverted) {
+    ins_.replicas_diverted->Add(1);
+  }
+  return AddResult::kAdded;
+}
+
+bool PastNetwork::AddPointer(PastNode& node, const FileId& file, const NodeId& holder,
+                             PointerRole role, uint64_t size) {
+  node.store().InstallPointer(file, holder, role, size);
+  if (!node.store().Commit()) {
+    node.store().RemovePointer(file);
+    return false;
+  }
+  return true;
+}
+
+bool PastNetwork::DropReplica(PastNode& node, const FileId& file) {
+  const ReplicaEntry* entry = node.store().GetReplica(file);
+  if (entry == nullptr) {
+    return false;
+  }
+  total_stored_ -= entry->size;
+  ins_.replicas_stored->Sub(1);
+  if (entry->kind == ReplicaKind::kDiverted) {
+    ins_.replicas_diverted->Sub(1);
+  }
+  node.RemoveReplica(file);
+  return true;
+}
+
+const DiversionPointer* PastNetwork::LivePointer(const PastNode* node,
+                                                 const FileId& file) const {
+  const DiversionPointer* ptr = node == nullptr ? nullptr : node->store().GetPointer(file);
+  if (ptr == nullptr || !pastry_.IsAlive(ptr->holder)) {
+    return nullptr;
+  }
+  const PastNode* holder = storage_node(ptr->holder);
+  return holder != nullptr && holder->store().HasReplica(file) ? ptr : nullptr;
+}
+
+bool PastNetwork::PointsAt(const std::vector<NodeId>& nodes, const FileId& file,
+                           const NodeId& holder) const {
+  return std::any_of(nodes.begin(), nodes.end(), [&](const NodeId& n) {
+    const PastNode* pn = storage_node(n);
+    const DiversionPointer* ptr = pn == nullptr ? nullptr : pn->store().GetPointer(file);
+    return ptr != nullptr && ptr->holder == holder;
+  });
+}
+
+std::optional<PastNetwork::Located> PastNetwork::LocateFromRoot(const NodeId& dest,
+                                                                const FileId& file) const {
+  if (const DiversionPointer* ptr = LivePointer(storage_node(dest), file)) {
+    return Located{ptr->holder, true, pastry_.topology().Distance(dest, ptr->holder)};
+  }
+  for (const NodeId& t : KClosestFromLeafSet(dest, file.ToRoutingKey(), config_.k)) {
+    const PastNode* candidate = storage_node(t);
+    if (candidate != nullptr && candidate->store().HasReplica(file)) {
+      return Located{t, false, pastry_.topology().Distance(dest, t)};
+    }
+  }
+  return std::nullopt;
+}
+
+Message PastNetwork::Direct(MessageType type, const NodeId& from, const NodeId& to,
+                            const FileId& file, uint64_t payload_bytes, MessageCost cost) const {
+  return Message{.type = type, .from = from, .to = to, .file = file,
+                 .payload_bytes = payload_bytes, .hops = 1,
+                 .distance = pastry_.topology().DistanceOr(from, to, 0.0), .cost = cost};
+}
+
 void PastNetwork::RollbackInsert(const FileId& file_id,
                                  const std::vector<PendingStore>& stores) {
   for (const PendingStore& pending : stores) {
@@ -473,16 +567,8 @@ void PastNetwork::RollbackInsert(const FileId& file_id,
     }
     if (pending.is_pointer) {
       pn->store().RemovePointer(file_id);
-      continue;
-    }
-    const ReplicaEntry* entry = pn->store().GetReplica(file_id);
-    if (entry != nullptr) {
-      if (entry->kind == ReplicaKind::kDiverted) {
-        ins_.replicas_diverted->Sub(1);
-      }
-      ins_.replicas_stored->Sub(1);
-      total_stored_ -= entry->size;
-      pn->RemoveReplica(file_id);
+    } else {
+      DropReplica(*pn, file_id);
     }
   }
 }
@@ -562,24 +648,11 @@ PastNetwork::ReplicaCensus PastNetwork::CountReplicas() const {
 size_t PastNetwork::CountStorageInvariantViolations(const std::vector<FileId>& files) const {
   size_t violations = 0;
   for (const FileId& f : files) {
-    NodeId key = f.ToRoutingKey();
-    for (const NodeId& t : pastry_.KClosestLive(key, config_.k)) {
+    for (const NodeId& t : pastry_.KClosestLive(f.ToRoutingKey(), config_.k)) {
       const PastNode* pn = storage_node(t);
-      if (pn == nullptr) {
+      if (pn == nullptr || (!pn->store().HasReplica(f) && LivePointer(pn, f) == nullptr)) {
         ++violations;
-        continue;
       }
-      if (pn->store().HasReplica(f)) {
-        continue;
-      }
-      const DiversionPointer* ptr = pn->store().GetPointer(f);
-      if (ptr != nullptr && pastry_.IsAlive(ptr->holder)) {
-        const PastNode* holder = storage_node(ptr->holder);
-        if (holder != nullptr && holder->store().HasReplica(f)) {
-          continue;
-        }
-      }
-      ++violations;
     }
   }
   return violations;
@@ -668,8 +741,6 @@ void PastNetwork::MaintenanceSweep() {
     ActionKind kind;
     NodeId node;
     FileId file;
-    uint64_t size = 0;
-    bool diverted = false;
   };
   std::vector<Action> actions;
   for (const NodeId& id : pastry_.live_nodes()) {
@@ -682,22 +753,12 @@ void PastNetwork::MaintenanceSweep() {
       bool among_k = std::find(k_closest.begin(), k_closest.end(), id) != k_closest.end();
       if (among_k) {
         if (entry.kind == ReplicaKind::kDiverted) {
-          actions.push_back(Action{ActionKind::kPromote, id, file, entry.size, true});
+          actions.push_back(Action{ActionKind::kPromote, id, file});
         }
         continue;
       }
-      bool referenced = false;
-      for (const NodeId& t : k_closest) {
-        const PastNode* tn = storage_node(t);
-        const DiversionPointer* ptr = tn == nullptr ? nullptr : tn->store().GetPointer(file);
-        if (ptr != nullptr && ptr->holder == id) {
-          referenced = true;
-          break;
-        }
-      }
-      if (!referenced) {
-        actions.push_back(Action{ActionKind::kRemoveReplica, id, file, entry.size,
-                                 entry.kind == ReplicaKind::kDiverted});
+      if (!PointsAt(k_closest, file, id)) {
+        actions.push_back(Action{ActionKind::kRemoveReplica, id, file});
       }
     }
     for (const auto& [file, ptr] : pn->store().pointers()) {
@@ -721,13 +782,7 @@ void PastNetwork::MaintenanceSweep() {
         }
         break;
       case ActionKind::kRemoveReplica:
-        if (pn->RemoveReplica(action.file).has_value()) {
-          total_stored_ -= action.size;
-          ins_.replicas_stored->Sub(1);
-          if (action.diverted) {
-            ins_.replicas_diverted->Sub(1);
-          }
-        }
+        DropReplica(*pn, action.file);
         break;
       case ActionKind::kRemovePointer:
         pn->store().RemovePointer(action.file);
@@ -744,14 +799,6 @@ void PastNetwork::MaintenanceSweep() {
       }
     }
   }
-}
-
-void PastNetwork::RestoreInvariants(const std::vector<NodeId>& region) {
-  RepairOp(*this).RestoreInvariants(region);
-}
-
-void PastNetwork::RepairFile(const FileId& file_id) {
-  RepairOp(*this).RepairFile(file_id);
 }
 
 }  // namespace past

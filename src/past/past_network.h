@@ -31,11 +31,9 @@ class AsyncOp;
 class CooperativeCacheTier;
 class InsertOp;
 class LookupOp;
-class OpCore;
 class OpEngine;
 class PastClient;
 class ReclaimOp;
-class RepairOp;
 class ScaleEngine;
 
 // Legacy value-type view of the network-level operation tallies. The live
@@ -236,19 +234,18 @@ class PastNetwork : public MembershipObserver {
 
  private:
   // The per-operation coordinators (src/past/ops/) implement the insert /
-  // lookup / reclaim / maintenance protocols over the transport; they are
-  // the only code with access to the network's internals.
+  // lookup / reclaim protocols over the transport, and the epoch-sharded
+  // scale driver (src/sim/scale_engine.h) commits the same decisions without
+  // messages. Every storage step they take — the targets at the root, the
+  // collision check, adding or dropping a replica, installing a pointer,
+  // locating a replica once a route has ended — is one of the kernel helpers
+  // below, so the paper's placement procedure is written exactly once.
   friend class AsyncOp;
   friend class InsertOp;
   friend class LookupOp;
-  friend class OpCore;
   friend class OpEngine;
   friend class PastClient;
   friend class ReclaimOp;
-  friend class RepairOp;
-  // The epoch-sharded extreme-scale driver (src/sim/scale_engine.h): plans
-  // routes in parallel against frozen membership, then commits storage
-  // decisions serially through the same private helpers the ops use.
   friend class ScaleEngine;
 
   // Single-attempt protocol executions (blocking: submit on the engine, then
@@ -269,6 +266,69 @@ class PastNetwork : public MembershipObserver {
   // node's leaf set (valid because k <= l/2 + 1).
   std::vector<NodeId> KClosestFromLeafSet(const NodeId& root, const NodeId& key,
                                           size_t k) const;
+
+  // --- the placement kernel (paper sections 3.3 and 3.5) ---
+
+  // The insert targets as the root sees them: the k closest from its leaf
+  // set, plus the witness C, the (k+1)-th closest, which shadows diversion
+  // pointers. One k+1 selection serves both: CloserTo is a strict total
+  // order, so its first k entries are exactly the k closest.
+  struct RootTargets {
+    std::vector<NodeId> targets;
+    std::optional<NodeId> witness;
+  };
+  RootTargets TargetsAtRoot(const NodeId& root, const NodeId& key) const;
+
+  // fileId collision: some target already holds a replica of, or a pointer
+  // for, `file` (paper section 2: the later insert is rejected).
+  bool FileExistsAt(const std::vector<NodeId>& targets, const FileId& file) const;
+
+  // Stores a replica at `node` and commits it to the node's journal before
+  // anything acknowledges it, then updates the network's byte and replica
+  // accounting. The caller has already run its admission test.
+  enum class AddResult {
+    kAdded,
+    kNoRoom,      // nothing stored; the node is free to divert instead
+    kNotDurable,  // stored, but the journal could not commit: undone
+  };
+  AddResult AddReplica(PastNode& node, const FileId& file, ReplicaKind kind, uint64_t size,
+                       FileCertificateRef certificate, FileContentRef content);
+
+  // Installs a diverter or witness pointer at `node` and commits it; a
+  // pointer whose commit fails is removed again. Returns whether it stands.
+  bool AddPointer(PastNode& node, const FileId& file, const NodeId& holder, PointerRole role,
+                  uint64_t size);
+
+  // Removes `node`'s replica of `file` with its accounting; false if it
+  // holds none. Does not commit: the caller decides when the removal must
+  // be durable.
+  bool DropReplica(PastNode& node, const FileId& file);
+
+  // `node`'s pointer for `file` when its holder is alive and still holds a
+  // replica; null otherwise (also for a null node).
+  const DiversionPointer* LivePointer(const PastNode* node, const FileId& file) const;
+
+  // True if some node in `nodes` holds a pointer for `file` naming `holder`.
+  bool PointsAt(const std::vector<NodeId>& nodes, const FileId& file,
+                const NodeId& holder) const;
+
+  // Where a lookup whose route ended at `dest` without meeting a replica
+  // finds one: through dest's diversion pointer (one extra hop, paper
+  // section 3.3), else by probing the k closest (stale leaf sets right
+  // after churn). Read-only, so sharded planning may call it concurrently.
+  struct Located {
+    NodeId holder;
+    bool via_pointer = false;
+    double distance = 0.0;  // proximity distance of the extra hop
+  };
+  std::optional<Located> LocateFromRoot(const NodeId& dest, const FileId& file) const;
+
+  // Builds a direct (one-hop) message between two nodes, with the proximity
+  // distance looked up from the emulated topology. Endpoints that have left
+  // the topology (failed nodes) get distance 0 — the message is normally
+  // dropped or ignored anyway.
+  Message Direct(MessageType type, const NodeId& from, const NodeId& to, const FileId& file,
+                 uint64_t payload_bytes, MessageCost cost) const;
 
   // Placement-policy verdict for storing a primary replica of `size` bytes
   // at `node` (one of the k closest). Wraps the node's threshold test with
@@ -307,7 +367,9 @@ class PastNetwork : public MembershipObserver {
   // the cooperative tier).
   void AdvertiseCachedCopy(const NodeId& holder, const FileId& file);
 
-  // Replica maintenance (section 3.5) over a set of nodes' file tables.
+  // Replica maintenance (section 3.5, src/past/ops/repair_op.cc): re-examines
+  // every file tracked by the nodes in `region`; RepairFile restores one
+  // file's storage invariant and, space permitting, its replication level.
   void RestoreInvariants(const std::vector<NodeId>& region);
   void RepairFile(const FileId& file_id);
 
