@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
 
 #include "src/workload/capacity.h"
 #include "src/workload/trace_generator.h"
 
 namespace past {
+
+// Prints a distribution parameter by name rather than by address, so the
+// parameterised test names that ctest discovers are the same from run to run.
+static void PrintTo(const CapacityDistribution* dist, std::ostream* os) { *os << dist->name; }
+
 namespace {
 
 TEST(CapacityTest, Table1Parameters) {
