@@ -35,9 +35,22 @@ double Now() {
       .count();
 }
 
+// RunEpoch's phase timers, in epoch order; together they tile epoch time.
+struct Phase {
+  const char* name;
+  double ScaleEpochStats::*seconds;
+};
+constexpr Phase kPhases[] = {
+    {"gen_s", &ScaleEpochStats::gen_s},         {"phase_a_s", &ScaleEpochStats::phase_a_s},
+    {"barrier_s", &ScaleEpochStats::barrier_s}, {"phase_b_s", &ScaleEpochStats::phase_b_s},
+    {"crash_s", &ScaleEpochStats::crash_s},     {"join_s", &ScaleEpochStats::join_s},
+    {"sweep_s", &ScaleEpochStats::sweep_s},
+};
+
 struct RunTimings {
   double build_seconds = 0.0;
   double epoch_seconds = 0.0;
+  ScaleEpochStats phase_totals;  // only the phase timers, summed over epochs
 };
 
 ScaleConfig ConfigFromCli(const CommandLine& cli) {
@@ -82,7 +95,10 @@ ScaleReport RunOne(const ScaleConfig& config, RunTimings* timings,
   timings->build_seconds = Now() - start;
   start = Now();
   for (size_t e = 0; e < config.epochs; ++e) {
-    engine.RunEpoch();
+    ScaleEpochStats epoch = engine.RunEpoch();
+    for (const Phase& phase : kPhases) {
+      timings->phase_totals.*phase.seconds += epoch.*phase.seconds;
+    }
   }
   timings->epoch_seconds = Now() - start;
   if (shards != nullptr) {
@@ -111,6 +127,11 @@ void PrintReport(const ScaleConfig& config, const ScaleReport& report,
               nodes_per_sec);
   std::printf("epochs                 %zu in %.2f s (%.0f events/sec, %" PRIu64 " events)\n",
               config.epochs, timings.epoch_seconds, events_per_sec, report.events);
+  std::printf("phases                ");
+  for (const Phase& phase : kPhases) {
+    std::printf(" %s %.3f", phase.name, timings.phase_totals.*phase.seconds);
+  }
+  std::printf("\n");
   std::printf("inserts                %" PRIu64 " stored / %" PRIu64 " attempted\n",
               report.inserts_stored, report.inserts);
   std::printf("lookups                %" PRIu64 " found / %" PRIu64 " issued\n",
@@ -202,6 +223,13 @@ bool WriteMetricsJson(const std::string& path, const ScaleConfig& config,
                 "    \"state_fingerprint\": \"%s\", \"schedule_fingerprint\": \"%s\"}",
                 report.state_fingerprint.c_str(), report.schedule_fingerprint.c_str());
   out += buf;
+  out += ",\n  \"phases\": {";
+  for (const Phase& phase : kPhases) {
+    std::snprintf(buf, sizeof(buf), "%s\"%s\": %.6f", &phase == kPhases ? "" : ", ",
+                  phase.name, timings.phase_totals.*phase.seconds);
+    out += buf;
+  }
+  out += "}";
   if (!report.replica_histogram.empty()) {
     out += ",\n  \"mean_field\": {";
     std::snprintf(buf, sizeof(buf),

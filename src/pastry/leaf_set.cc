@@ -24,6 +24,11 @@ bool LeafSet::InsertSide(int s, const NodeId& id) {
     return clockwise ? owner_.ClockwiseDistance(x) : x.ClockwiseDistance(owner_);
   };
   uint128 d = directed(id);
+  // A full side keeps nothing at or beyond its farthest member (which covers
+  // `id` being that member); most offers during repair stop here.
+  if (n == capacity_per_side_ && d >= directed(ids[n - 1])) {
+    return false;
+  }
   // Directed distance is injective for a fixed owner, so the sort order is
   // strict and lower_bound pins a unique position.
   int lo = 0;
@@ -41,9 +46,6 @@ bool LeafSet::InsertSide(int s, const NodeId& id) {
     return false;
   }
   if (n == capacity_per_side_) {
-    if (d >= directed(ids[n - 1])) {
-      return false;  // farther than everything we keep
-    }
     --n;  // evict the farthest member; pos is unaffected (pos <= n - 1)
   }
   for (int i = n; i > pos; --i) {
@@ -95,6 +97,16 @@ bool LeafSet::Contains(const NodeId& id) const {
       if (ids[i] == id) {
         return true;
       }
+    }
+  }
+  return false;
+}
+
+bool LeafSet::ContainsIndex(uint32_t index) const {
+  for (int s = 0; s < 2; ++s) {
+    const uint32_t* idx = side_idx(s);
+    if (std::find(idx, idx + count_[s], index) != idx + count_[s]) {
+      return true;
     }
   }
   return false;

@@ -46,6 +46,8 @@ class LeafSet {
   bool Remove(const NodeId& id);
 
   bool Contains(const NodeId& id) const;
+  // Contains() by interned directory index (sets built with a directory).
+  bool ContainsIndex(uint32_t index) const;
 
   // Members on the clockwise (numerically larger, wrapping) side, ordered by
   // increasing ring distance from the owner.

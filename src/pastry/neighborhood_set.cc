@@ -1,5 +1,7 @@
 #include "src/pastry/neighborhood_set.h"
 
+#include <algorithm>
+
 namespace past {
 
 NeighborhoodSet::NeighborhoodSet(const NodeId& owner, int capacity, const NodeDirectory* dir)
@@ -70,6 +72,11 @@ bool NeighborhoodSet::Contains(const NodeId& id) const {
     }
   }
   return false;
+}
+
+bool NeighborhoodSet::ContainsIndex(uint32_t index) const {
+  const uint32_t* a = data();
+  return std::find(a, a + count_, index) != a + count_;
 }
 
 std::vector<NodeId> NeighborhoodSet::members() const {

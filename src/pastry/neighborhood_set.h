@@ -30,6 +30,8 @@ class NeighborhoodSet {
   bool Consider(const NodeId& id);
   bool Remove(const NodeId& id);
   bool Contains(const NodeId& id) const;
+  // Contains() by interned index: no id resolution per member.
+  bool ContainsIndex(uint32_t index) const;
 
   size_t size() const { return static_cast<size_t>(count_); }
 

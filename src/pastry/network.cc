@@ -274,6 +274,14 @@ void PastryNetwork::FailNodeSilently(const NodeId& id) {
   topology_.Remove(id);
 }
 
+uint32_t PastryNetwork::NextRepairGeneration() {
+  if (++repair_generation_ == 0) {
+    std::fill(repair_stamp_.begin(), repair_stamp_.end(), 0);
+    repair_generation_ = 1;
+  }
+  return repair_generation_;
+}
+
 void PastryNetwork::RepairAfterFailure(const NodeId& failed) {
   // All members of the failed node's leaf set detect the failure, purge the
   // reference, and rebuild from the leaf sets of their remaining members —
@@ -290,8 +298,21 @@ void PastryNetwork::RepairAfterFailure(const NodeId& failed) {
   // IsAlive, routing Forgets dead entries on contact, and
   // RepairRoutingTables() batch-repairs lazily — the paper's keep-alive
   // model. Small rings (< 4l nodes) degenerate to the full scan.
-  if (ring_.empty()) {
-    return;
+  //
+  // Each affected node makes one pass over its live donors and offers every
+  // distinct live id they list exactly once. That is equivalent to offering
+  // every listed id (duplicates included) because a leaf-set side keeps the
+  // capacity_per_side smallest directed distances of everything it was ever
+  // offered, whatever the order; a repeat offer is a no-op. Two things stay
+  // fixed because results depend on them: the order of `affected` (a later
+  // node's donors may be earlier nodes, read after their repair) and one
+  // RecordRpc per live donor (TransportStats feed the state fingerprints).
+  // Membership tests, donors and candidates all go through interned indices
+  // and alive bits, with no id hash probes or id resolution per member; a
+  // generation stamp per index dedupes candidates.
+  const NodeIndex failed_index = IndexOf(failed);
+  if (ring_.empty() || failed_index == kInvalidIndex) {
+    return;  // an id never interned is referenced by no one
   }
   const size_t n = ring_.size();
   const size_t window = static_cast<size_t>(config_.leaf_set_size) * 2;
@@ -299,8 +320,9 @@ void PastryNetwork::RepairAfterFailure(const NodeId& failed) {
   std::vector<NodeId> affected;
   auto consider = [&](const NodeId& id) {
     PastryNode* w = node(id);
-    if (w != nullptr && (w->leaf_set().Contains(failed) || w->routing_table().Remove(failed) ||
-                         w->neighborhood().Contains(failed))) {
+    if (w != nullptr && (w->leaf_set().ContainsIndex(failed_index) ||
+                         w->routing_table().Remove(failed) ||
+                         w->neighborhood().ContainsIndex(failed_index))) {
       affected.push_back(id);
     }
   };
@@ -318,20 +340,47 @@ void PastryNetwork::RepairAfterFailure(const NodeId& failed) {
   for (const NodeId& id : affected) {
     node(id)->Forget(failed);
   }
+  if (repair_stamp_.size() < slots_.size()) {
+    repair_stamp_.resize(slots_.size(), 0);
+  }
   for (const NodeId& id : affected) {
-    PastryNode* w = node(id);
-    std::vector<NodeId> donors = w->leaf_set().All();
-    for (const NodeId& donor : donors) {
-      PastryNode* d = node(donor);
-      if (d == nullptr || !IsAlive(donor)) {
-        continue;
+    LeafSet& leaves = node(id)->leaf_set();
+    const uint32_t generation = NextRepairGeneration();
+    repair_candidates_.clear();
+    auto gather = [&](NodeIndex donor) {
+      if (alive_bits_[donor] == 0) {
+        return;
       }
       stats_.RecordRpc();
-      for (const NodeId& candidate : d->leaf_set().All()) {
-        if (IsAlive(candidate)) {
-          w->leaf_set().Insert(candidate);
+      const LeafSet& donor_leaves = node_at(donor)->leaf_set();
+      for (std::span<const uint32_t> side :
+           {donor_leaves.larger_indices(), donor_leaves.smaller_indices()}) {
+        for (NodeIndex candidate : side) {
+          // Most entries repeat an earlier donor's; test the stamp first.
+          if (repair_stamp_[candidate] != generation) {
+            repair_stamp_[candidate] = generation;
+            if (alive_bits_[candidate] != 0) {
+              repair_candidates_.push_back(candidate);
+            }
+          }
         }
       }
+    };
+    // Donors are the distinct members of both sides (All() order); nothing
+    // is offered until every donor is read, so the donor list is the
+    // pre-repair leaf set, as a snapshot would give.
+    std::span<const uint32_t> larger = leaves.larger_indices();
+    for (NodeIndex donor : larger) {
+      gather(donor);
+    }
+    for (NodeIndex donor : leaves.smaller_indices()) {
+      if (std::find(larger.begin(), larger.end(), donor) == larger.end()) {
+        gather(donor);
+      }
+    }
+    for (NodeIndex candidate : repair_candidates_) {
+      const NodeId id_copy = ids_by_index_[candidate];  // Insert interns
+      leaves.Insert(id_copy);
     }
   }
 }

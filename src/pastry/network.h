@@ -272,6 +272,9 @@ class PastryNetwork {
   // Applies (and clears) the queued join announcements for one node.
   void FlushPending(NodeIndex index);
 
+  // Fresh RepairAfterFailure dedupe generation; zeroes the stamps on wrap.
+  uint32_t NextRepairGeneration();
+
   // NodeDirectory trampolines; ctx is the PastryNetwork.
   static uint32_t DirIntern(void* ctx, const NodeId& id);
   static const NodeId& DirResolve(void* ctx, uint32_t index);
@@ -298,6 +301,14 @@ class PastryNetwork {
   FlatTable<NodeId, uint8_t, NodeIdHash> malicious_;
   SortedRing ring_;  // live nodes ordered by id (oracle + seeds)
   std::vector<MembershipObserver*> observers_;
+
+  // Leaf-set repair scratch: a per-NodeIndex generation stamp (a candidate
+  // is already gathered iff its stamp equals the current generation) and
+  // the gathered candidates. Sized to node_count() on the first failure and
+  // grown with it, so a crash allocates nothing in steady state.
+  std::vector<uint32_t> repair_stamp_;
+  uint32_t repair_generation_ = 0;
+  std::vector<NodeIndex> repair_candidates_;
 
   // Deferred join announcements: a per-node FIFO chain threaded through one
   // flat pool (head/tail per NodeIndex, kInvalidIndex when empty). Only

@@ -1,6 +1,7 @@
 #include "src/sim/scale_engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <future>
@@ -41,6 +42,21 @@ double BinomialPmf(uint32_t k, uint32_t i, double p) {
 
 // Upper bound on ScaleConfig::jobs: one thread per job.
 constexpr size_t kMaxJobs = 256;
+
+// Steady-clock lap timer: each Lap() returns the seconds since the previous
+// lap (or construction), so consecutive laps tile the timed span.
+class LapTimer {
+ public:
+  double Lap() {
+    const auto now = std::chrono::steady_clock::now();
+    const double seconds = std::chrono::duration<double>(now - mark_).count();
+    mark_ = now;
+    return seconds;
+  }
+
+ private:
+  std::chrono::steady_clock::time_point mark_ = std::chrono::steady_clock::now();
+};
 
 }  // namespace
 
@@ -291,7 +307,7 @@ void ScaleEngine::CommitLookup(const Op& op, ScaleEpochStats& stats) {
   net_->ins_.lookup_distance->Observe(op.route.distance + op.extra_distance);
 }
 
-void ScaleEngine::ApplyChurn(Rng& epoch_rng, ScaleEpochStats& stats) {
+void ScaleEngine::ApplyCrashes(Rng& epoch_rng, ScaleEpochStats& stats) {
   const size_t min_live =
       static_cast<size_t>(config_.pastry.leaf_set_size) * 2 + 8;
   size_t live_before = net_->overlay().live_count();
@@ -310,6 +326,9 @@ void ScaleEngine::ApplyChurn(Rng& epoch_rng, ScaleEpochStats& stats) {
     survival_probability_ *=
         1.0 - static_cast<double>(crashed) / static_cast<double>(live_before);
   }
+}
+
+void ScaleEngine::ApplyJoins(ScaleEpochStats& stats) {
   for (size_t i = 0; i < config_.joins_per_epoch; ++i) {
     net_->AddStorageNode(config_.node_capacity);
     ++stats.joins;
@@ -319,6 +338,7 @@ void ScaleEngine::ApplyChurn(Rng& epoch_rng, ScaleEpochStats& stats) {
 ScaleEpochStats ScaleEngine::RunEpoch() {
   ScaleEpochStats stats;
   stats.epoch = epoch_;
+  LapTimer lap;
 
   Rng epoch_rng(Mix64(config_.seed) ^ Mix64(epoch_ + 0x5ca1e));
   std::vector<Op> ops;
@@ -326,6 +346,7 @@ ScaleEpochStats ScaleEngine::RunEpoch() {
     indices.clear();
   }
   GenerateOps(epoch_rng, ops);
+  stats.gen_s = lap.Lap();
 
   // --- Phase A: parallel read-only route + plan, one task per shard ---
   for (auto& forgets : shard_forgets_) {
@@ -341,6 +362,7 @@ ScaleEpochStats ScaleEngine::RunEpoch() {
       f.get();
     }
   }
+  stats.phase_a_s = lap.Lap();
 
   // --- Barrier: canonical-order route accounting, then deferred forgets ---
   TransportStats& ledger = net_->overlay().stats();
@@ -363,6 +385,7 @@ ScaleEpochStats ScaleEngine::RunEpoch() {
       ++stats.deferred_forgets;
     }
   }
+  stats.barrier_s = lap.Lap();
 
   // --- Phase B: serial commit in op order ---
   for (Op& op : ops) {
@@ -373,9 +396,14 @@ ScaleEpochStats ScaleEngine::RunEpoch() {
     }
     FingerprintOp(op);
   }
+  ops = {};  // freed here so the release lands inside a timed phase
+  stats.phase_b_s = lap.Lap();
 
   // --- Epoch edge: churn, then periodic maintenance ---
-  ApplyChurn(epoch_rng, stats);
+  ApplyCrashes(epoch_rng, stats);
+  stats.crash_s = lap.Lap();
+  ApplyJoins(stats);
+  stats.join_s = lap.Lap();
   ++epochs_since_sweep_;
   if (config_.sweep_period != 0 && (epoch_ + 1) % config_.sweep_period == 0) {
     net_->MaintenanceSweep();
@@ -384,6 +412,7 @@ ScaleEpochStats ScaleEngine::RunEpoch() {
     epochs_since_sweep_ = 0;
     SnapshotEligibleFiles();
   }
+  stats.sweep_s = lap.Lap();
 
   epoch_stats_.push_back(stats);
   ++epoch_;

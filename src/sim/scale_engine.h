@@ -117,6 +117,16 @@ struct ScaleEpochStats {
   size_t crashes = 0;
   size_t joins = 0;
   bool swept = false;
+
+  // Steady-clock wall seconds per phase, taken back to back so together they
+  // tile RunEpoch. Measurement only: no fingerprint or report reads them.
+  double gen_s = 0.0;      // op generation
+  double phase_a_s = 0.0;  // sharded route + plan
+  double barrier_s = 0.0;  // route accounting + deferred forgets
+  double phase_b_s = 0.0;  // serial commit
+  double crash_s = 0.0;    // churn: crashes and their repair
+  double join_s = 0.0;     // churn: joins
+  double sweep_s = 0.0;    // maintenance sweep + eligibility snapshot
 };
 
 struct ScaleReport {
@@ -235,7 +245,9 @@ class ScaleEngine {
   void CommitInsert(const Op& op, ScaleEpochStats& stats);
   bool StoreAtTargets(const Op& op);
   void CommitLookup(const Op& op, ScaleEpochStats& stats);
-  void ApplyChurn(Rng& epoch_rng, ScaleEpochStats& stats);
+  // The epoch edge's churn: crashes first, then joins.
+  void ApplyCrashes(Rng& epoch_rng, ScaleEpochStats& stats);
+  void ApplyJoins(ScaleEpochStats& stats);
   // Live replicas per file over every live node.
   FlatTable<FileId, uint32_t, FileIdHash> CountLiveReplicas() const;
   void SnapshotEligibleFiles();

@@ -125,6 +125,45 @@ TEST(PastryChurnTest, ObserverSeesMembershipEvents) {
   EXPECT_EQ(recorder.joined.size(), 10u);  // no longer notified
 }
 
+TEST(PastryChurnTest, WindowedRepairKeepsLeafSetsExact) {
+  // The tests above stay below 4l live nodes, where RepairAfterFailure scans
+  // the whole ring; 2,000 nodes at the default l takes the windowed branch
+  // the scale engine runs. Each burst crashes a node and its next 3-4
+  // clockwise live neighbours, so the donors of the later repairs have
+  // themselves just lost members (and been repaired).
+  PastryConfig config;
+  PastryNetwork network(config, 41);
+  network.BuildInitialNetwork(2000);
+  ASSERT_GT(network.live_count(), 4u * static_cast<size_t>(config.leaf_set_size));
+  Rng rng(42);
+  for (int burst = 0; burst < 60; ++burst) {
+    const SortedRing& ring = network.ring();
+    const size_t first = rng.NextBelow(ring.size());
+    const size_t width = 4 + rng.NextBelow(2);
+    std::vector<NodeId> victims;
+    for (size_t i = 0; i < width; ++i) {
+      victims.push_back(ring.at((first + i) % ring.size()));
+    }
+    for (const NodeId& victim : victims) {
+      network.FailNode(victim);
+    }
+    for (int j = 0; j < 2; ++j) {
+      network.CreateNode();
+    }
+    ASSERT_EQ(network.CountLeafSetViolations(), 0u) << "after burst " << burst;
+  }
+  std::vector<NodeId> nodes = network.live_nodes();
+  network.FailNodeSilently(nodes[rng.NextBelow(nodes.size())]);
+  EXPECT_EQ(network.DetectAndRepair(), 1u);
+  EXPECT_EQ(network.CountLeafSetViolations(), 0u);
+  nodes = network.live_nodes();
+  for (int i = 0; i < 200; ++i) {
+    NodeId key(rng.NextU64(), rng.NextU64());
+    NodeId origin = nodes[rng.NextBelow(nodes.size())];
+    EXPECT_EQ(network.Route(origin, key).destination(), network.ClosestLive(key));
+  }
+}
+
 // Heavier randomized churn property test across seeds.
 class ChurnPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 

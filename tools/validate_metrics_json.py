@@ -14,7 +14,8 @@ Two dump formats are recognized:
   sums exactly to the merged totals on every integer field (hops, messages,
   bytes_sent, rpcs), that the merged totals equal the canonical op-order
   totals the serial commit phase recorded (the shard decomposition must be
-  lossless), and that the mean-field histograms are mass-consistent.
+  lossless), that the per-phase wall timers are non-negative and tile the
+  epoch wall time, and that the mean-field histograms are mass-consistent.
 
 Exits nonzero with a message per problem, so CI can gate on any bench run's
 dump:
@@ -190,11 +191,27 @@ def validate(doc):
 
 SCALE_SCHEMA = "past-scale-metrics-v1"
 SHARD_INT_FIELDS = ("hops", "messages", "bytes_sent", "rpcs")
+# ScaleEngine::RunEpoch's back-to-back phase timers, summed over epochs.
+PHASE_FIELDS = (
+    "gen_s",
+    "phase_a_s",
+    "barrier_s",
+    "phase_b_s",
+    "crash_s",
+    "join_s",
+    "sweep_s",
+)
+# The phases must sum to the epoch wall time within this fraction of it (the
+# bench times the epoch loop around RunEpoch, so only call overhead is
+# outside them), or within PHASE_TILE_FLOOR_S on runs too short for a
+# relative bound to mean anything.
+PHASE_TILE_TOLERANCE = 0.05
+PHASE_TILE_FLOOR_S = 0.001
 
 
 def validate_scale(doc):
     errors = []
-    for section in ("config", "shards", "merged", "op_totals", "report"):
+    for section in ("config", "shards", "merged", "op_totals", "report", "phases"):
         if section not in doc:
             errors.append(f"missing section: {section!r}")
     if errors:
@@ -263,6 +280,8 @@ def validate_scale(doc):
             if len(report[key]) != 40:
                 errors.append(f"report: {key} is not a SHA-1 hex digest")
 
+    errors.extend(validate_phases(doc["phases"], report.get("epoch_seconds")))
+
     mean_field = doc.get("mean_field")
     if mean_field is not None:
         empirical = mean_field.get("empirical", [])
@@ -282,6 +301,28 @@ def validate_scale(doc):
         tv = mean_field.get("tv_distance", 0.0)
         if not 0.0 <= tv <= 1.0:
             errors.append(f"mean_field: tv_distance {tv} outside [0, 1]")
+    return errors
+
+
+def validate_phases(phases, epoch_seconds):
+    errors = []
+    if not isinstance(epoch_seconds, (int, float)):
+        return ["report: missing or non-numeric 'epoch_seconds'"]
+    total = 0.0
+    for name in PHASE_FIELDS:
+        value = phases.get(name)
+        if not isinstance(value, (int, float)) or value < 0:
+            errors.append(f"phases: {name!r} is not a non-negative number")
+        else:
+            total += value
+    if errors:
+        return errors
+    slack = max(PHASE_TILE_TOLERANCE * epoch_seconds, PHASE_TILE_FLOOR_S)
+    if abs(total - epoch_seconds) > slack:
+        errors.append(
+            f"phases sum to {total:.4f} s but epoch_seconds is "
+            f"{epoch_seconds:.4f} s (more than {PHASE_TILE_TOLERANCE:.0%} apart)"
+        )
     return errors
 
 
@@ -305,7 +346,7 @@ def main(argv):
         print(
             f"ok: {argv[1]} valid scale dump "
             f"({doc['config']['nodes']} nodes, {len(doc['shards'])} shards; "
-            f"shard sums == merged == op-order totals; "
+            f"shard sums == merged == op-order totals; phases tile the epochs; "
             f"{report['inserts_stored']}/{report['inserts']} inserts stored)"
         )
         return 0
