@@ -2,6 +2,12 @@
 // container's budget handling (paper section 4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <set>
+#include <unordered_map>
+#include <vector>
+
 #include "src/cache/file_cache.h"
 #include "src/cache/gds_policy.h"
 #include "src/cache/lru_policy.h"
@@ -263,6 +269,207 @@ TEST(CachePolicyComparisonTest, GdsBeatsLruOnSkewedTrace) {
   double lru_rate = run(std::make_unique<LruPolicy>());
   EXPECT_GT(gds_rate, 0.1);
   EXPECT_GE(gds_rate, lru_rate - 0.02);
+}
+
+// --- Differential oracle -------------------------------------------------
+//
+// Reference models: the original node-based policies (std::set +
+// unordered_map GD-S, std::list + unordered_map LRU), kept here verbatim as
+// the behavioural specification. The production policies must pick the
+// same victim and (GD-S) reach the same inflation after every eviction.
+
+class ReferenceGds {
+ public:
+  void OnInsert(const FileId& id, uint64_t size) { Enqueue(id, size); }
+  void OnHit(const FileId& id, uint64_t size) { Enqueue(id, size); }
+  void OnRemove(const FileId& id) {
+    auto it = weight_.find(id);
+    if (it == weight_.end()) {
+      return;
+    }
+    queue_.erase({it->second, id});
+    weight_.erase(it);
+  }
+  std::optional<FileId> EvictVictim() {
+    if (queue_.empty()) {
+      return std::nullopt;
+    }
+    auto it = queue_.begin();
+    FileId victim = it->second;
+    inflation_ = it->first;
+    queue_.erase(it);
+    weight_.erase(victim);
+    return victim;
+  }
+  double inflation() const { return inflation_; }
+
+ private:
+  void Enqueue(const FileId& id, uint64_t size) {
+    double h = inflation_ + 1.0 / std::max<double>(1.0, static_cast<double>(size));
+    auto it = weight_.find(id);
+    if (it != weight_.end()) {
+      queue_.erase({it->second, id});
+      it->second = h;
+    } else {
+      weight_[id] = h;
+    }
+    queue_.insert({h, id});
+  }
+
+  double inflation_ = 0.0;
+  std::unordered_map<FileId, double, FileIdHash> weight_;
+  std::set<std::pair<double, FileId>> queue_;
+};
+
+class ReferenceLru {
+ public:
+  void OnInsert(const FileId& id, uint64_t) { Touch(id); }
+  void OnHit(const FileId& id, uint64_t) { Touch(id); }
+  void OnRemove(const FileId& id) {
+    auto it = index_.find(id);
+    if (it == index_.end()) {
+      return;
+    }
+    order_.erase(it->second);
+    index_.erase(it);
+  }
+  std::optional<FileId> EvictVictim() {
+    if (order_.empty()) {
+      return std::nullopt;
+    }
+    FileId victim = order_.back();
+    order_.pop_back();
+    index_.erase(victim);
+    return victim;
+  }
+
+ private:
+  void Touch(const FileId& id) {
+    auto it = index_.find(id);
+    if (it != index_.end()) {
+      order_.erase(it->second);
+    }
+    order_.push_front(id);
+    index_[id] = order_.begin();
+  }
+
+  std::list<FileId> order_;
+  std::unordered_map<FileId, std::list<FileId>::iterator, FileIdHash> index_;
+};
+
+double InflationOf(const GdsPolicy& p) { return p.inflation(); }
+double InflationOf(const ReferenceGds& p) { return p.inflation(); }
+double InflationOf(const LruPolicy&) { return 0.0; }
+double InflationOf(const ReferenceLru&) { return 0.0; }
+
+// Drives `policy` and `model` with one seeded stream of insert, hit,
+// remove and evict. Ids come from a fixed random pool so evicted and
+// removed ids are re-inserted later; sizes come from a short list with
+// repeats (equal GD-S weights, so the FileId tie-break decides) and zeros,
+// and a re-insert of a tracked id may change its size.
+// Growth and drain phases alternate so the tracked set both deepens and
+// empties.
+template <typename Policy, typename Model>
+void RunDifferential(uint64_t seed) {
+  Policy policy;
+  Model model;
+  Rng rng(seed);
+  std::vector<FileId> pool(600);
+  for (FileId& id : pool) {
+    std::array<uint8_t, FileId::kBytes> bytes{};
+    for (auto& b : bytes) {
+      b = static_cast<uint8_t>(rng.NextBelow(4));  // shared prefixes
+    }
+    for (size_t i = 0; i < 8; ++i) {
+      bytes[12 + i] = static_cast<uint8_t>(rng.NextU64());
+    }
+    id = FileId(bytes);
+  }
+  const uint64_t kSizes[] = {0, 1, 7, 100, 100, 100, 1000, 1000, 4096, 65536};
+  std::vector<uint64_t> size_of(pool.size(), 0);
+  std::vector<size_t> tracked;                       // pool indices
+  std::vector<size_t> slot_in_tracked(pool.size(), SIZE_MAX);
+  auto untrack = [&](size_t i) {
+    size_t at = slot_in_tracked[i];
+    tracked[at] = tracked.back();
+    slot_in_tracked[tracked[at]] = at;
+    tracked.pop_back();
+    slot_in_tracked[i] = SIZE_MAX;
+  };
+  size_t evictions = 0;
+  for (int step = 0; step < 40000; ++step) {
+    const bool draining = (step / 3000) % 2 == 1;
+    const double roll = rng.NextDouble();
+    if (roll < (draining ? 0.45 : 0.08)) {
+      auto got = policy.EvictVictim();
+      auto want = model.EvictVictim();
+      ASSERT_EQ(got.has_value(), want.has_value()) << "seed " << seed << " step " << step;
+      if (want) {
+        ASSERT_EQ(*got, *want) << "seed " << seed << " step " << step;
+        size_t i = static_cast<size_t>(
+            std::find(pool.begin(), pool.end(), *want) - pool.begin());
+        untrack(i);
+        ++evictions;
+      }
+      ASSERT_EQ(InflationOf(policy), InflationOf(model)) << "seed " << seed << " step " << step;
+    } else if (roll < 0.55) {
+      // Insert; an id already tracked is re-inserted, sometimes at a new
+      // size, which can lower its GD-S weight.
+      size_t i = rng.NextBelow(pool.size());
+      if (slot_in_tracked[i] == SIZE_MAX) {
+        slot_in_tracked[i] = tracked.size();
+        tracked.push_back(i);
+        size_of[i] = kSizes[rng.NextBelow(std::size(kSizes))];
+      } else if (rng.NextBool(0.3)) {
+        size_of[i] = kSizes[rng.NextBelow(std::size(kSizes))];
+      }
+      policy.OnInsert(pool[i], size_of[i]);
+      model.OnInsert(pool[i], size_of[i]);
+    } else if (roll < 0.88) {
+      if (tracked.empty()) {
+        continue;
+      }
+      size_t i = tracked[rng.NextBelow(tracked.size())];
+      policy.OnHit(pool[i], size_of[i]);
+      model.OnHit(pool[i], size_of[i]);
+    } else {
+      // Remove: mostly tracked ids, sometimes an id the policy never saw.
+      size_t i = rng.NextBelow(pool.size());
+      if (!tracked.empty() && rng.NextBool(0.8)) {
+        i = tracked[rng.NextBelow(tracked.size())];
+      }
+      if (slot_in_tracked[i] != SIZE_MAX) {
+        untrack(i);
+      }
+      policy.OnRemove(pool[i]);
+      model.OnRemove(pool[i]);
+    }
+  }
+  // Drain: the full remaining order must agree too.
+  for (;;) {
+    auto got = policy.EvictVictim();
+    auto want = model.EvictVictim();
+    ASSERT_EQ(got.has_value(), want.has_value()) << "seed " << seed << " drain";
+    if (!want) {
+      break;
+    }
+    ASSERT_EQ(*got, *want) << "seed " << seed << " drain";
+    ASSERT_EQ(InflationOf(policy), InflationOf(model)) << "seed " << seed << " drain";
+    ++evictions;
+  }
+  EXPECT_GT(evictions, 1000u);
+}
+
+TEST(PolicyDifferentialTest, GdsMatchesReferenceModel) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    ASSERT_NO_FATAL_FAILURE((RunDifferential<GdsPolicy, ReferenceGds>(seed)));
+  }
+}
+
+TEST(PolicyDifferentialTest, LruMatchesReferenceModel) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    ASSERT_NO_FATAL_FAILURE((RunDifferential<LruPolicy, ReferenceLru>(seed)));
+  }
 }
 
 }  // namespace
