@@ -1,5 +1,5 @@
 // Microbenchmarks for cache policies: GD-S vs LRU operation cost and hit
-// rates on a Zipf stream.
+// rates on a Zipf stream, for one cache and for many caches at once.
 #include <benchmark/benchmark.h>
 
 #include "src/cache/file_cache.h"
@@ -46,6 +46,54 @@ BENCHMARK(BM_GdsCacheStream);
 
 void BM_LruCacheStream(benchmark::State& state) { RunCacheStream<LruPolicy>(state); }
 BENCHMARK(BM_LruCacheStream);
+
+// Many caches, as on the route-side path of a large deployment: 2,000
+// FileCaches of about 300 entries each, and every op goes to a random one.
+// The single-cache stream keeps one policy's structures hot in the CPU
+// caches; here nearly every op starts cold, so the policies' memory layout
+// is what the op pays for. The caches are filled before timing starts.
+template <typename Policy>
+void RunManyCaches(benchmark::State& state) {
+  constexpr size_t kCaches = 2000;
+  std::vector<FileCache> caches;
+  caches.reserve(kCaches);
+  for (size_t i = 0; i < kCaches; ++i) {
+    caches.emplace_back(std::make_unique<Policy>(), 1.0);
+  }
+  Rng rng(51);
+  Zipf zipf(10000, 0.8);
+  FileSizeDistribution sizes(1312, 10517, 0.0, 1.1, 100000);
+  std::vector<uint64_t> catalog(10000);
+  for (auto& s : catalog) {
+    s = std::max<uint64_t>(1, sizes.Sample(rng));
+  }
+  const uint64_t budget = 2'000'000;
+  auto op = [&] {
+    FileCache& cache = caches[rng.NextBelow(kCaches)];
+    uint32_t f = static_cast<uint32_t>(zipf.Sample(rng));
+    if (!cache.Lookup(MakeFileId(f))) {
+      cache.Insert(MakeFileId(f), catalog[f], budget);
+    }
+  };
+  for (size_t i = 0; i < kCaches * 400; ++i) {
+    op();
+  }
+  uint64_t entries = 0;
+  for (const FileCache& cache : caches) {
+    entries += cache.count();
+  }
+  for (auto _ : state) {
+    op();
+  }
+  state.counters["entries_per_cache"] =
+      benchmark::Counter(static_cast<double>(entries) / static_cast<double>(kCaches));
+}
+
+void BM_GdsManyCaches(benchmark::State& state) { RunManyCaches<GdsPolicy>(state); }
+BENCHMARK(BM_GdsManyCaches);
+
+void BM_LruManyCaches(benchmark::State& state) { RunManyCaches<LruPolicy>(state); }
+BENCHMARK(BM_LruManyCaches);
 
 void BM_GdsEvictionChurn(benchmark::State& state) {
   FileCache cache(std::make_unique<GdsPolicy>(), 1.0);

@@ -2,13 +2,26 @@
 
 namespace past {
 
+void LruPolicy::Unlink(uint32_t handle) {
+  Slot& slot = slots_[handle];
+  (slot.prev == kNoHandle ? head_ : slots_[slot.prev].next) = slot.next;
+  (slot.next == kNoHandle ? tail_ : slots_[slot.next].prev) = slot.prev;
+}
+
+void LruPolicy::PushFront(uint32_t handle) {
+  Slot& slot = slots_[handle];
+  slot.prev = kNoHandle;
+  slot.next = head_;
+  (head_ == kNoHandle ? tail_ : slots_[head_].prev) = handle;
+  head_ = handle;
+}
+
 void LruPolicy::Touch(const FileId& id) {
-  auto it = index_.find(id);
-  if (it != index_.end()) {
-    order_.erase(it->second);
+  auto [handle, added] = slots_.FindOrAdd(id);
+  if (!added) {
+    Unlink(handle);
   }
-  order_.push_front(id);
-  index_[id] = order_.begin();
+  PushFront(handle);
 }
 
 void LruPolicy::OnInsert(const FileId& id, uint64_t size) {
@@ -22,21 +35,22 @@ void LruPolicy::OnHit(const FileId& id, uint64_t size) {
 }
 
 void LruPolicy::OnRemove(const FileId& id) {
-  auto it = index_.find(id);
-  if (it == index_.end()) {
+  uint32_t handle = slots_.Find(id);
+  if (handle == kNoHandle) {
     return;
   }
-  order_.erase(it->second);
-  index_.erase(it);
+  Unlink(handle);
+  slots_.Release(handle);
 }
 
 std::optional<FileId> LruPolicy::EvictVictim() {
-  if (order_.empty()) {
+  if (tail_ == kNoHandle) {
     return std::nullopt;
   }
-  FileId victim = order_.back();
-  order_.pop_back();
-  index_.erase(victim);
+  const uint32_t handle = tail_;
+  FileId victim = slots_[handle].id;
+  Unlink(handle);
+  slots_.Release(handle);
   return victim;
 }
 

@@ -1,11 +1,14 @@
 // Least-Recently-Used eviction, the comparison baseline in Figure 8.
+//
+// Data structure: a SlotMap holds one {id, prev, next} record per file, and
+// the records form a doubly linked recency list through uint32_t handles
+// (most recent at the head). Every operation is one index probe plus O(1)
+// link updates; none allocates except when the slab or index grows.
 #ifndef SRC_CACHE_LRU_POLICY_H_
 #define SRC_CACHE_LRU_POLICY_H_
 
-#include <list>
-#include <unordered_map>
-
 #include "src/cache/eviction_policy.h"
+#include "src/cache/slot_map.h"
 
 namespace past {
 
@@ -18,10 +21,19 @@ class LruPolicy : public EvictionPolicy {
   std::string name() const override { return "LRU"; }
 
  private:
-  void Touch(const FileId& id);
+  struct Slot {
+    FileId id;
+    uint32_t prev = kNoHandle;  // toward the head (more recent)
+    uint32_t next = kNoHandle;  // toward the tail (less recent)
+  };
 
-  std::list<FileId> order_;  // most recent at front
-  std::unordered_map<FileId, std::list<FileId>::iterator, FileIdHash> index_;
+  void Touch(const FileId& id);
+  void Unlink(uint32_t handle);
+  void PushFront(uint32_t handle);
+
+  SlotMap<Slot> slots_;
+  uint32_t head_ = kNoHandle;  // most recent
+  uint32_t tail_ = kNoHandle;  // least recent: the next victim
 };
 
 }  // namespace past

@@ -258,13 +258,13 @@ void PastryNetwork::BuildInitialNetwork(size_t n) {
   }
 }
 
-void PastryNetwork::FailNode(const NodeId& id) {
+void PastryNetwork::FailNode(NodeId id) {
   FailNodeSilently(id);
   RepairAfterFailure(id);
   NotifyFailed(id);
 }
 
-void PastryNetwork::FailNodeSilently(const NodeId& id) {
+void PastryNetwork::FailNodeSilently(NodeId id) {
   const NodeIndex* idx = index_.Find(id);
   if (idx == nullptr || alive_bits_[*idx] == 0) {
     return;

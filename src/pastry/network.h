@@ -147,11 +147,14 @@ class PastryNetwork {
 
   // Fails a node and immediately runs failure detection and leaf-set repair
   // on the affected nodes (the common case in tests and experiments).
-  void FailNode(const NodeId& id);
+  // FailNode and FailNodeSilently take the id by value: they erase it from
+  // ring_ before using it again, so a reference into ring() (a caller
+  // passing ring().at(i)) would shift under them.
+  void FailNode(NodeId id);
 
   // Marks a node dead without telling anyone. Failure is discovered lazily
   // during routing or by the next DetectAndRepair() keep-alive round.
-  void FailNodeSilently(const NodeId& id);
+  void FailNodeSilently(NodeId id);
 
   // One keep-alive round: every live node checks its leaf set for dead
   // members and repairs (paper: neighbors exchange keep-alives; after period

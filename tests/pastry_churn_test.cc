@@ -32,6 +32,38 @@ TEST(PastryChurnTest, FailureRepairsLeafSets) {
   EXPECT_EQ(network.CountLeafSetViolations(), 0u);
 }
 
+// FailNode/FailNodeSilently erase the id from the ring before they use it
+// again, so they must not hold a reference into the ring: a caller passing
+// ring().at(i) directly must fail exactly node i, not its successor.
+TEST(PastryChurnTest, FailNodeWithIdAliasingTheRing) {
+  PastryConfig config;
+  PastryNetwork network(config, 37);
+  network.BuildInitialNetwork(100);
+  Rng rng(38);
+  for (int i = 0; i < 20; ++i) {
+    size_t at = rng.NextBelow(network.ring().size() - 1);
+    NodeId victim = network.ring().at(at);
+    NodeId successor = network.ring().at(at + 1);
+    if (i % 2 == 0) {
+      network.FailNode(network.ring().at(at));
+    } else {
+      network.FailNodeSilently(network.ring().at(at));
+      EXPECT_EQ(network.DetectAndRepair(), 1u);
+    }
+    EXPECT_FALSE(network.IsAlive(victim));
+    EXPECT_FALSE(network.topology().Contains(victim));
+    EXPECT_TRUE(network.IsAlive(successor));
+    EXPECT_TRUE(network.topology().Contains(successor));
+  }
+  EXPECT_EQ(network.live_count(), 80u);
+  EXPECT_EQ(network.CountLeafSetViolations(), 0u);
+  // Joins route through the survivors' topology locations.
+  for (int i = 0; i < 10; ++i) {
+    network.CreateNode();
+  }
+  EXPECT_EQ(network.CountLeafSetViolations(), 0u);
+}
+
 TEST(PastryChurnTest, RoutingCorrectAfterChurn) {
   PastryConfig config;
   PastryNetwork network(config, 34);
